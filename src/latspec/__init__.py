@@ -19,10 +19,9 @@ from .instances import (ClosureSublattice, ClosureSystem, FiniteSemiring,
                         object_support_from_datum, semiring_ideal_lattice,
                         support_datum_from_objects, thick_tensor_lattice,
                         verify_closure_system)
-from .lattice import (FiniteIdealLattice, FinitePoset, IdealCompletion,
-                      PosetIdeal, ideal_completion, is_compact, is_prime,
-                      is_semiprime, prime_avoidance, prime_elements,
-                      prime_violation, primes_above, primes_not_above, radical,
+from .lattice import (FiniteIdealLattice, is_prime, is_semiprime,
+                      prime_avoidance, prime_elements, prime_violation,
+                      primes_above, primes_not_above, radical,
                       semiprime_elements, verify_axioms)
 from .report import Check, Report
 from .sources import (build_lattice, lattice_source, parse_closure_system,

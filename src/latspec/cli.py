@@ -1,7 +1,9 @@
 """Command line interface.
 
 Exit codes: 0 on success, 1 when the requested mathematical check fails,
-2 when an input cannot be parsed or fails its preconditions.
+2 when the command line or an input cannot be parsed (non-UTF-8 text
+included) or an input fails its preconditions; a 2 comes with one JSON
+line on stderr.
 """
 
 from __future__ import annotations
@@ -31,13 +33,24 @@ class _InputFailure(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as one JSON line on stderr, exit 2.
+
+    Subparsers are built with the same class, since ``add_subparsers``
+    defaults ``parser_class`` to the parent's type.
+    """
+
+    def error(self, message):
+        self.exit(2, json.dumps({"error": f"{self.prog}: {message}"}) + "\n")
+
+
 def _read_text(path):
     try:
         if path is None or path == "-":
             return sys.stdin.read(), "<stdin>"
         with open(path, encoding="utf-8") as handle:
             return handle.read(), path
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _InputFailure(f"cannot read {path!r}: {exc}") from None
 
 
@@ -238,7 +251,7 @@ def _cmd_gen(args):
     return True, sources.lattice_source(result.lattice)
 
 
-def _add_common(sub, graphical=False):
+def _add_common(sub):
     sub.add_argument("--format", choices=("json", "dot"), default="json")
     sub.add_argument("--dot", action="store_true",
                      help="shorthand for --format dot")
@@ -248,19 +261,25 @@ def _add_common(sub, graphical=False):
                      help="cap on uniqueness enumeration size")
 
 
-def _env_max_enum():
-    value = os.environ.get("LATSPEC_MAX_ENUM")
-    if value is None:
-        return DEFAULT_ENUM_CAP
-    try:
-        return int(value)
-    except ValueError:
-        raise _InputFailure(
-            f"LATSPEC_MAX_ENUM must be an integer, got {value!r}") from None
+def _max_enum(flag):
+    """The enumeration cap: the flag, else LATSPEC_MAX_ENUM, else the default."""
+    if flag is not None:
+        value, source = flag, "--max-enum"
+    else:
+        value = os.environ.get("LATSPEC_MAX_ENUM", DEFAULT_ENUM_CAP)
+        source = "LATSPEC_MAX_ENUM"
+        try:
+            value = int(value)
+        except ValueError:
+            raise _InputFailure(
+                f"LATSPEC_MAX_ENUM must be an integer, got {value!r}") from None
+    if value < 1:
+        raise _InputFailure(f"{source} must be at least 1, got {value}")
+    return value
 
 
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="latspec",
         description="Finite ideal lattices: spectra, duals, supports, decompositions.")
     subs = parser.add_subparsers(dest="command", required=True)
@@ -304,8 +323,7 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.max_enum is None:
-            args.max_enum = _env_max_enum()
+        args.max_enum = _max_enum(args.max_enum)
         ok, text = args.handler(args)
     except _InputFailure as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)

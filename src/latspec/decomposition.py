@@ -1,9 +1,9 @@
 """Decomposition of semiprime elements along the finest support partition.
 
 The finest partition of a support into unions of dual-closed sets is found
-by union-find over overlapping minimal point covers.  The doubly exponential
-intersect-over-all-partitions description stays in the test suite as the
-oracle the fast path is checked against.
+as the connected components of overlapping minimal point covers.  The
+doubly exponential intersect-over-all-partitions description stays in the
+test suite as the oracle the fast path is checked against.
 """
 
 from __future__ import annotations
@@ -36,26 +36,6 @@ def is_indecomposable(lat, a):
     return a != lat.bottom and indecomposable_witness(lat, a) is None
 
 
-class UnionFind:
-    """Plain union-find with path compression."""
-
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[max(rx, ry)] = min(rx, ry)
-
-
 def finest_partition(points, family):
     """Finest partition of ``points`` into non-empty unions from ``family``.
 
@@ -79,15 +59,15 @@ def finest_partition(points, family):
         if not cover <= pts:
             raise DecompositionError("minimal cover of a point leaves the set")
         covers[x] = cover
-    uf = UnionFind(sorted(pts))
+    # Components so far, each with the union of its covers; the unions stay
+    # disjoint, so a new point joins exactly the components it overlaps.
+    groups = []
     for x in sorted(pts):
-        for y in sorted(pts):
-            if x < y and covers[x] & covers[y]:
-                uf.union(x, y)
-    groups = {}
-    for x in sorted(pts):
-        groups.setdefault(uf.find(x), set()).add(x)
-    return tuple(frozenset(g) for _, g in sorted(groups.items()))
+        touching = [g for g in groups if g[1] & covers[x]]
+        groups = [g for g in groups if not g[1] & covers[x]]
+        groups.append((frozenset({x}).union(*(p for p, _ in touching)),
+                       covers[x].union(*(r for _, r in touching))))
+    return tuple(sorted((p for p, _ in groups), key=min))
 
 
 @dataclass(frozen=True)

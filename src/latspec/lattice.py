@@ -15,110 +15,60 @@ brute-forcing it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import LatticeError
 from .report import Check, Report
 
 
-def _as_bool_matrix(rows, n, what):
-    matrix = tuple(tuple(bool(v) for v in row) for row in rows)
-    if len(matrix) != n or any(len(row) != n for row in matrix):
-        raise ValueError(f"{what} must be a {n}x{n} matrix")
-    return matrix
+def _bits(mask):
+    """Indices of the set bits of ``mask``, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-def _least(candidates, uppers):
-    """The member of ``candidates`` below all others, or None."""
-    for x in sorted(candidates):
-        if candidates <= uppers[x]:
-            return x
-    return None
+def _lowest(mask):
+    return (mask & -mask).bit_length() - 1
 
 
-def _greatest(candidates, lowers):
-    for x in sorted(candidates):
-        if candidates <= lowers[x]:
-            return x
-    return None
+def _bound_table(masks):
+    """``t[a][b]``: the element whose mask is ``masks[a] & masks[b]``.
+
+    With up-sets as masks this is the least upper bound: in a reflexive,
+    transitive order an upper bound x is below all the others exactly when
+    its own up-set is the whole intersection.  Down-sets give the greatest
+    lower bound.  Ties go to the smallest index; None marks a missing bound.
+    """
+    owner = {}
+    for i, mask in enumerate(masks):
+        owner.setdefault(mask, i)
+    return tuple(tuple([owner.get(ma & mb) for mb in masks]) for ma in masks)
 
 
 def _names(names, witness):
     return tuple(names[i] for i in witness) if witness is not None else None
 
 
-class FinitePoset:
-    """A finite partial order; construction fails unless leq is an order."""
-
-    def __init__(self, names, leq):
-        self.names = tuple(str(x) for x in names)
-        if len(set(self.names)) != len(self.names):
-            raise ValueError("element names must be unique")
-        n = len(self.names)
-        self._leq = _as_bool_matrix(leq, n, "leq")
-        self._index = {name: i for i, name in enumerate(self.names)}
-        for kind, probe in (("reflexive", _reflexivity_witness),
-                            ("antisymmetric", _antisymmetry_witness),
-                            ("transitive", _transitivity_witness)):
-            w = probe(self._leq)
-            if w is not None:
-                raise LatticeError(f"leq is not {kind}", _names(self.names, w))
-        self._uppers = tuple(frozenset(j for j in range(n) if self._leq[i][j])
-                             for i in range(n))
-        self._lowers = tuple(frozenset(i for i in range(n) if self._leq[i][j])
-                             for j in range(n))
-
-    @property
-    def n(self):
-        return len(self.names)
-
-    def index(self, name):
-        return self._index[name]
-
-    def name(self, i):
-        return self.names[i]
-
-    def leq(self, a, b):
-        return self._leq[a][b]
-
-    def lub(self, a, b):
-        return _least(self._uppers[a] & self._uppers[b], self._uppers)
-
-    def glb(self, a, b):
-        return _greatest(self._lowers[a] & self._lowers[b], self._lowers)
-
-    def _key(self):
-        return (self.names, self._leq)
-
-    def __eq__(self, other):
-        return isinstance(other, FinitePoset) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return f"FinitePoset({list(self.names)!r})"
+def _reflexivity_witness(up):
+    return next(((i,) for i, row in enumerate(up) if not row >> i & 1), None)
 
 
-def _reflexivity_witness(leq):
-    n = len(leq)
-    return next(((i,) for i in range(n) if not leq[i][i]), None)
+def _antisymmetry_witness(up, down):
+    for i in range(len(up)):
+        both = (up[i] & down[i]) >> (i + 1)
+        if both:
+            return (i, i + 1 + _lowest(both))
+    return None
 
 
-def _antisymmetry_witness(leq):
-    n = len(leq)
-    return next(((i, j) for i in range(n) for j in range(i + 1, n)
-                 if leq[i][j] and leq[j][i]), None)
-
-
-def _transitivity_witness(leq):
-    n = len(leq)
-    for i in range(n):
-        for j in range(n):
-            if leq[i][j]:
-                for k in range(n):
-                    if leq[j][k] and not leq[i][k]:
-                        return (i, j, k)
+def _transitivity_witness(up):
+    for i, row in enumerate(up):
+        for j in _bits(row):
+            missing = up[j] & ~row
+            if missing:
+                return (i, j, _lowest(missing))
     return None
 
 
@@ -126,9 +76,11 @@ class FiniteIdealLattice:
     """Finite lattice with a product table, unit = top, annihilating bottom.
 
     Only shapes are validated here; mathematical content is the business of
-    ``verify_axioms``.  Instances are immutable after construction and safe
-    to share between threads; derived data (join tables, primes, radicals)
-    is cached on first use.
+    ``verify_axioms``.  The order is kept as int-bitmask up-sets and
+    down-sets, and the join and meet tables are built from them once, at
+    construction (None where a bound is missing).  Instances are immutable
+    after construction and safe to share between threads; other derived data
+    (primes, radicals, the axiom report) is cached on first use.
     """
 
     def __init__(self, names, leq, mul, top, bottom):
@@ -138,7 +90,9 @@ class FiniteIdealLattice:
         if len(set(self.names)) != len(self.names):
             raise ValueError("element names must be unique")
         n = len(self.names)
-        self._leq = _as_bool_matrix(leq, n, "leq")
+        rows = [[bool(v) for v in row] for row in leq]
+        if len(rows) != n or any(len(row) != n for row in rows):
+            raise ValueError(f"leq must be a {n}x{n} matrix")
         table = tuple(tuple(int(v) for v in row) for row in mul)
         if len(table) != n or any(len(row) != n for row in table):
             raise ValueError(f"mul must be a {n}x{n} table")
@@ -150,12 +104,11 @@ class FiniteIdealLattice:
         if not (0 <= self.top < n and 0 <= self.bottom < n):
             raise ValueError("top and bottom must be element indices")
         self._index = {name: i for i, name in enumerate(self.names)}
-        self._uppers = tuple(frozenset(j for j in range(n) if self._leq[i][j])
-                             for i in range(n))
-        self._lowers = tuple(frozenset(i for i in range(n) if self._leq[i][j])
-                             for j in range(n))
-        self._lub_cache = {}
-        self._glb_cache = {}
+        self._up = tuple(sum(1 << j for j, v in enumerate(row) if v) for row in rows)
+        self._down = tuple(sum(1 << i for i, row in enumerate(rows) if row[j])
+                           for j in range(n))
+        self._join = _bound_table(self._up)
+        self._meet = _bound_table(self._down)
         self._derived = {}
 
     @property
@@ -169,40 +122,22 @@ class FiniteIdealLattice:
         return self.names[i]
 
     def leq(self, a, b):
-        return self._leq[a][b]
+        return bool(self._up[a] >> b & 1)
 
     def mul(self, a, b):
         return self._mul[a][b]
 
-    def uppers(self, a):
-        return self._uppers[a]
-
-    def lowers(self, a):
-        return self._lowers[a]
-
     def lub(self, a, b):
-        key = (a, b) if a <= b else (b, a)
-        try:
-            return self._lub_cache[key]
-        except KeyError:
-            value = _least(self._uppers[a] & self._uppers[b], self._uppers)
-            self._lub_cache[key] = value
-            return value
+        return self._join[a][b]
 
     def glb(self, a, b):
-        key = (a, b) if a <= b else (b, a)
-        try:
-            return self._glb_cache[key]
-        except KeyError:
-            value = _greatest(self._lowers[a] & self._lowers[b], self._lowers)
-            self._glb_cache[key] = value
-            return value
+        return self._meet[a][b]
 
     def join(self, elements):
         """Least upper bound of any iterable; the empty join is bottom."""
         result = self.bottom
         for e in elements:
-            step = self.lub(result, e)
+            step = self._join[result][e]
             if step is None:
                 raise LatticeError("missing join",
                                    (self.names[result], self.names[e]))
@@ -213,7 +148,7 @@ class FiniteIdealLattice:
         """Greatest lower bound of any iterable; the empty meet is top."""
         result = self.top
         for e in elements:
-            step = self.glb(result, e)
+            step = self._meet[result][e]
             if step is None:
                 raise LatticeError("missing meet",
                                    (self.names[result], self.names[e]))
@@ -222,17 +157,12 @@ class FiniteIdealLattice:
 
     def covers(self):
         """Pairs (a, b) with b covering a: a < b and nothing in between."""
-        out = []
-        for a in range(self.n):
-            for b in range(self.n):
-                if a != b and self._leq[a][b]:
-                    if not any(c != a and c != b and self._leq[a][c] and self._leq[c][b]
-                               for c in range(self.n)):
-                        out.append((a, b))
-        return out
+        up, down = self._up, self._down
+        return [(a, b) for a in range(self.n) for b in _bits(up[a])
+                if a != b and up[a] & down[b] == (1 << a) | (1 << b)]
 
     def _key(self):
-        return (self.names, self._leq, self._mul, self.top, self.bottom)
+        return (self.names, self._up, self._mul, self.top, self.bottom)
 
     def __eq__(self, other):
         return (isinstance(other, FiniteIdealLattice)
@@ -244,6 +174,27 @@ class FiniteIdealLattice:
     def __repr__(self):
         return (f"FiniteIdealLattice({self.n} elements, "
                 f"top={self.names[self.top]!r}, bottom={self.names[self.bottom]!r})")
+
+
+def _composer(indices):
+    """The map taking a row ``r`` to the tuple of ``r[i]`` for i in ``indices``."""
+    get = itemgetter(*indices)
+    return get if len(indices) > 1 else lambda row: (get(row),)
+
+
+def _law_witness(n, sides):
+    """First (a, b, c), in index order, at which a law's two sides differ.
+
+    ``sides(a, b)`` gives both sides as equally long tuples of rows indexed
+    by c, so whole rows are compared at once.
+    """
+    for a in range(n):
+        for b in range(n):
+            left, right = sides(a, b)
+            if left != right:
+                return (a, b, next(c for c in range(n)
+                                   if any(x[c] != y[c] for x, y in zip(left, right))))
+    return None
 
 
 def verify_axioms(lat):
@@ -258,36 +209,31 @@ def verify_axioms(lat):
 
     n = lat.n
     names = lat.names
+    up, down, join, mul = lat._up, lat._down, lat._join, lat._mul
     checks = []
 
-    refl = _reflexivity_witness(lat._leq)
+    refl = _reflexivity_witness(up)
     checks.append(Check("order_reflexive", refl is None, _names(names, refl)))
-    antisym = _antisymmetry_witness(lat._leq)
+    antisym = _antisymmetry_witness(up, down)
     checks.append(Check("order_antisymmetric", antisym is None, _names(names, antisym)))
-    trans = _transitivity_witness(lat._leq)
+    trans = _transitivity_witness(up)
     checks.append(Check("order_transitive", trans is None, _names(names, trans)))
     order_ok = refl is None and antisym is None and trans is None
 
     l1_witness = None
     l1_note = ""
-    bad_bound = next(((a,) for a in range(n)
-                      if not lat._leq[lat.bottom][a] or not lat._leq[a][lat.top]), None)
+    bounded = up[lat.bottom] & down[lat.top]
+    bad_bound = next(((a,) for a in range(n) if not bounded >> a & 1), None)
     if bad_bound is not None:
         l1_witness = bad_bound
         l1_note = "declared top/bottom are not greatest/least"
     elif order_ok:
-        for a in range(n):
-            if l1_witness is not None:
-                break
-            for b in range(a + 1, n):
-                if lat.lub(a, b) is None:
-                    l1_witness = (a, b)
-                    l1_note = "pair without a least upper bound"
-                    break
-                if lat.glb(a, b) is None:
-                    l1_witness = (a, b)
-                    l1_note = "pair without a greatest lower bound"
-                    break
+        l1_witness = next(((a, b) for a in range(n) for b in range(a + 1, n)
+                           if join[a][b] is None or lat._meet[a][b] is None), None)
+        if l1_witness is not None:
+            l1_note = ("pair without a least upper bound"
+                       if join[l1_witness[0]][l1_witness[1]] is None
+                       else "pair without a greatest lower bound")
     else:
         l1_witness = refl or antisym or trans
         l1_note = "not evaluated in full: leq is not a partial order"
@@ -300,33 +246,23 @@ def verify_axioms(lat):
     checks.append(Check("L2_compactly_generated", l1_ok, None,
                         "automatic given L1: every element of a finite lattice is compact"))
 
-    assoc = None
-    for a in range(n):
-        if assoc is not None:
-            break
-        for b in range(n):
-            if assoc is not None:
-                break
-            for c in range(n):
-                if lat._mul[lat._mul[a][b]][c] != lat._mul[a][lat._mul[b][c]]:
-                    assoc = (a, b, c)
-                    break
+    # then_mul[b](r) is the row of r[bc] over c: (ab)c against a(bc)
+    then_mul = [_composer(row) for row in mul]
+    assoc = _law_witness(n, lambda a, b: ((mul[mul[a][b]],), (then_mul[b](mul[a]),)))
     checks.append(Check("mul_associative", assoc is None, _names(names, assoc)))
 
     if l1_ok:
-        dist = None
-        for a in range(n):
-            if dist is not None:
-                break
-            for b in range(n):
-                if dist is not None:
-                    break
-                for c in range(n):
-                    j = lat.lub(b, c)
-                    if (lat._mul[a][j] != lat.lub(lat._mul[a][b], lat._mul[a][c])
-                            or lat._mul[j][a] != lat.lub(lat._mul[b][a], lat._mul[c][a])):
-                        dist = (a, b, c)
-                        break
+        column = tuple(zip(*mul))
+        then_join = [_composer(row) for row in join]
+        then_column = [_composer(col) for col in column]
+
+        def sides(a, b):
+            # a(b v c) against ab v ac, and (b v c)a against ba v ca, over c
+            row, col = mul[a], column[a]
+            return ((then_join[b](row), then_join[b](col)),
+                    (then_mul[a](join[row[b]]), then_column[a](join[col[b]])))
+
+        dist = _law_witness(n, sides)
         checks.append(Check("L3_distributive", dist is None, _names(names, dist),
                             "" if dist is None else
                             "a(b v c) = ab v ac or (b v c)a = ba v ca fails"))
@@ -336,14 +272,14 @@ def verify_axioms(lat):
 
     z = lat.bottom
     annihilated = next(((a,) for a in range(n)
-                        if lat._mul[z][a] != z or lat._mul[a][z] != z), None)
+                        if mul[z][a] != z or mul[a][z] != z), None)
     checks.append(Check("L3_nullary_annihilation", annihilated is None,
                         _names(names, annihilated),
                         "bottom must annihilate: the empty-join instance of L3"))
 
     t = lat.top
     unit = next(((a,) for a in range(n)
-                 if lat._mul[t][a] != a or lat._mul[a][t] != a), None)
+                 if mul[t][a] != a or mul[a][t] != a), None)
     checks.append(Check("L4_unit", unit is None, _names(names, unit),
                         "top is compact automatically (finite)" if unit is None else ""))
 
@@ -355,23 +291,14 @@ def verify_axioms(lat):
     return report
 
 
-def is_compact(lat, a):
-    """Every element of a finite lattice is compact.
-
-    Whenever a is below the join of a set, the join is already reached by a
-    finite subset, so the defining condition holds trivially.  Kept explicit
-    so compactness-qualified statements read literally.
-    """
-    return 0 <= a < lat.n
-
-
 def prime_violation(lat, p):
     """First pair (a, b) with ab <= p but neither a <= p nor b <= p."""
-    for a in range(lat.n):
-        if lat.leq(a, p):
-            continue
-        for b in range(lat.n):
-            if not lat.leq(b, p) and lat.leq(lat.mul(a, b), p):
+    below = lat._down[p]
+    outside = [x for x in range(lat.n) if not below >> x & 1]
+    for a in outside:
+        row = lat._mul[a]
+        for b in outside:
+            if below >> row[b] & 1:
                 return (a, b)
     return None
 
@@ -446,64 +373,3 @@ def prime_avoidance(lat, a, avoid):
         raise LatticeError("maximal avoiding element is not prime",
                            (lat.names[best],))
     return best
-
-
-@dataclass(frozen=True)
-class PosetIdeal:
-    """Non-empty, downward-closed, join-closed subset of a finite poset."""
-
-    poset: FinitePoset
-    members: frozenset
-
-    def __post_init__(self):
-        k = self.poset
-        if not self.members:
-            raise LatticeError("an ideal is non-empty")
-        for b in sorted(self.members):
-            for a in range(k.n):
-                if k.leq(a, b) and a not in self.members:
-                    raise LatticeError("not downward closed",
-                                       (k.names[a], k.names[b]))
-        for a in sorted(self.members):
-            for b in sorted(self.members):
-                j = k.lub(a, b)
-                if j is None:
-                    raise LatticeError("join missing in the ambient poset",
-                                       (k.names[a], k.names[b]))
-                if j not in self.members:
-                    raise LatticeError("not join closed",
-                                       (k.names[a], k.names[b]))
-
-
-@dataclass(frozen=True)
-class IdealCompletion:
-    """All ideals of a finite poset, ordered by inclusion.
-
-    For a finite poset with finite joins every ideal is principal, so the
-    completion is isomorphic to the poset itself via ``embedding``.
-    """
-
-    source: FinitePoset
-    poset: FinitePoset
-    ideals: tuple
-    embedding: tuple
-    compact: tuple
-
-
-def ideal_completion(source):
-    """Complete a finite poset that has all finite joins, including the empty one."""
-    n = source.n
-    least = next((i for i in range(n) if all(source.leq(i, j) for j in range(n))), None)
-    if least is None:
-        raise LatticeError("poset has no least element (empty join missing)")
-    for a in range(n):
-        for b in range(a + 1, n):
-            if source.lub(a, b) is None:
-                raise LatticeError("pair without a join",
-                                   (source.names[a], source.names[b]))
-    ideals = tuple(PosetIdeal(source, source._lowers[a]) for a in range(n))
-    sets = [ideal.members for ideal in ideals]
-    leq = [[sets[i] <= sets[j] for j in range(n)] for i in range(n)]
-    completion = FinitePoset(source.names, leq)
-    return IdealCompletion(source, completion, tuple(sets),
-                           tuple(range(n)), tuple(range(n)))

@@ -251,7 +251,7 @@ def parse_closure_system(text, path=None, carrier=None):
         try:
             with open(target, encoding="utf-8") as handle:
                 carrier = read_lattice(handle.read(), target)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise SourceError(f"cannot read lattice file: {exc}", path, lineno) from None
     members = frozenset(_index_of(carrier.names, tok, path, lineno)
                         for lineno, tok in buckets["members:"])
@@ -275,7 +275,7 @@ def parse_datum(text, path=None, lattice=None, space=None):
         try:
             with open(target, encoding="utf-8") as handle:
                 return reader(handle.read(), target)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise SourceError(f"cannot read referenced file: {exc}", path,
                               lineno) from None
 
@@ -307,6 +307,9 @@ def parse_datum(text, path=None, lattice=None, space=None):
 def lattice_from_json(obj, path=None):
     try:
         names = list(obj["elements"])
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise SourceError(f"duplicate element name {name!r}", path)
         pairs = [(names.index(a), names.index(b)) for a, b in obj["leq"]]
         leq = _transitive_reflexive_closure(len(names), pairs)
         mul = [[0] * len(names) for _ in names]

@@ -3,8 +3,8 @@ import itertools
 import pytest
 
 import latspec as ls
-from helpers import (chain3_lattice, deleted_point_datum, powerset_lattice,
-                     t0_spaces)
+from helpers import (chain3_lattice, corpus, deleted_point_datum,
+                     powerset_lattice, t0_spaces)
 
 ATOMS = "xyz"
 
@@ -222,6 +222,28 @@ class TestAdjunction:
             ls.adjunct_map(phi, sierpinski())
 
 
+def _bijection_criterion(datum):
+    """a -> union of the sets assigned below a, and Y -> join of the elements
+    assigned inside Y, are mutually inverse bijections between the semiprimes
+    and the closed subsets of the space."""
+    lat = datum.lattice
+    sems = ls.semiprime_elements(lat)
+    extended = {a: frozenset().union(*(datum.assignment[b] for b in range(lat.n)
+                                       if lat.leq(b, a)))
+                for a in sems}
+    closeds = datum.space.closed_sets()
+    if len(set(extended.values())) != len(sems) or set(extended.values()) != closeds:
+        return False
+    for a in sems:
+        if lat.join(b for b in range(lat.n) if datum.assignment[b] <= extended[a]) != a:
+            return False
+    for y in closeds:
+        a = lat.join(b for b in range(lat.n) if datum.assignment[b] <= y)
+        if a not in extended or extended[a] != y:
+            return False
+    return True
+
+
 class TestClassifying:
     @pytest.mark.parametrize("make", [
         lambda: ls.divisor_lattice(12),
@@ -236,6 +258,17 @@ class TestClassifying:
         lat = ls.divisor_lattice(12)
         datum = deleted_point_datum(lat)
         assert not ls.is_classifying(datum)
+
+    def test_bijection_criterion_agrees(self):
+        # c08's data plus the deleted-point data: the universal map is a
+        # homeomorphism exactly when the classification maps are inverse
+        # bijections onto the closed sets.
+        data = [ls.tautological_support_datum(lat) for _, lat in corpus()]
+        data += [deleted_point_datum(lat)
+                 for lat in (ls.divisor_lattice(12), powerset_lattice(3))]
+        for datum in data:
+            assert ls.is_classifying(datum) == _bijection_criterion(datum)
+        assert not _bijection_criterion(data[-1])
 
     def test_rejects_non_spectral_space(self):
         lat = chain3_lattice()

@@ -94,6 +94,36 @@ class TestExitCodes:
         payload = json.loads(out)
         assert payload["valid"] is False
 
+    @staticmethod
+    def _one_json_error(err):
+        lines = err.decode().splitlines()
+        assert len(lines) == 1
+        return json.loads(lines[0])["error"]
+
+    def test_non_utf8_file_exits_two(self, tmp_path):
+        path = tmp_path / "bad.lat"
+        path.write_bytes((TESTS_DIR / "data" / "z12.lat").read_bytes() + b"# \xff\n")
+        code, out, err = run_cli(["verify", str(path)])
+        assert code == 2
+        assert out == b""
+        assert "utf-8" in self._one_json_error(err)
+
+    def test_non_utf8_referenced_lattice_exits_two(self, tmp_path):
+        (tmp_path / "bad.lat").write_bytes(b"elements: \xff\n")
+        datum = tmp_path / "bad.datum"
+        datum.write_text(f"lattice: bad.lat\nspace: {TESTS_DIR / 'data' / 'z12dual.spc'}\n"
+                         "sigma: 1={}\n", encoding="utf-8")
+        code, out, err = run_cli(["classifying", str(datum)])
+        assert code == 2
+        assert out == b""
+        assert "utf-8" in self._one_json_error(err)
+
+    def test_usage_error_exits_two_with_one_json_line(self):
+        code, out, err = run_cli(["gen", "divizor", "12"])
+        assert code == 2
+        assert out == b""
+        assert "divizor" in self._one_json_error(err)
+
     def test_main_module_exits_with_main_code(self):
         # A real process: __main__ must hand main()'s code to sys.exit.
         proc = latspec_process("spec", "data/z12.lat",
@@ -133,6 +163,24 @@ class TestFlags:
                                 "data/z12supp.datum"], env={"LATSPEC_MAX_ENUM": "1"})
         payload = json.loads(out)
         assert payload["uniqueness"]["note"].startswith("skipped")
+
+    def test_max_enum_flag_below_one_exits_two(self):
+        code, out, err = run_cli(["adjoint-check", "data/z12.lat", "data/z12dual.spc",
+                                  "data/z12supp.datum", "--max-enum", "-5"])
+        assert code == 2
+        assert out == b""
+        lines = err.decode().splitlines()
+        assert len(lines) == 1
+        assert "--max-enum" in json.loads(lines[0])["error"]
+
+    def test_max_enum_env_var_below_one_exits_two(self):
+        code, out, err = run_cli(["adjoint-check", "data/z12.lat", "data/z12dual.spc",
+                                  "data/z12supp.datum"], env={"LATSPEC_MAX_ENUM": "0"})
+        assert code == 2
+        assert out == b""
+        lines = err.decode().splitlines()
+        assert len(lines) == 1
+        assert "LATSPEC_MAX_ENUM" in json.loads(lines[0])["error"]
 
     def test_malformed_max_enum_env_var_exits_two(self):
         code, out, err = run_cli(["spec", "data/z12.lat"],

@@ -87,7 +87,6 @@ class TestPrimes:
         for p in range(lat.n):
             full = p != lat.top and ls.prime_violation(lat, p) is None
             assert ls.is_prime(lat, p) == full
-            assert ls.is_compact(lat, p)
 
 
 class TestRadical:
@@ -271,52 +270,74 @@ class TestBuildLattice:
         assert again == lat
 
 
-class TestIdealCompletion:
-    def _poset(self, names, uppers):
-        n = len(names)
-        leq = [[j in uppers[i] for j in range(n)] for i in range(n)]
-        return ls.FinitePoset(names, leq)
+SMALL_CORPUS = [
+    ("z12", lambda: ls.divisor_lattice(12)),
+    ("powerset2", lambda: powerset_lattice(2)),
+    ("powerset3", lambda: powerset_lattice(3)),
+    ("chain3", chain3_lattice),
+]
 
-    def test_diamond_is_its_own_completion(self):
-        diamond = self._poset(["0", "a", "b", "1"],
-                              {0: {0, 1, 2, 3}, 1: {1, 3}, 2: {2, 3}, 3: {3}})
-        result = ls.ideal_completion(diamond)
-        assert result.poset == diamond
-        assert result.embedding == (0, 1, 2, 3)
-        assert result.compact == (0, 1, 2, 3)
+ORDER_CYCLE_TEXT = """
+elements: 0 a b 1
+leq: 0<a a<b b<a b<1
+top: 1
+bottom: 0
+mul:
+  0*0=0 0*a=0 0*b=0 0*1=0
+  a*0=0 a*a=a a*b=a a*1=a
+  b*0=0 b*a=a b*b=b b*1=b
+  1*0=0 1*a=a 1*b=b 1*1=1
+"""
 
-    def test_chain(self):
-        chain = self._poset(["0", "a", "1"], {0: {0, 1, 2}, 1: {1, 2}, 2: {2}})
-        result = ls.ideal_completion(chain)
-        assert result.poset == chain
 
-    def test_powerset_of_two(self):
-        lat = powerset_lattice(2)
-        poset = ls.FinitePoset(lat.names,
-                               [[lat.leq(i, j) for j in range(lat.n)]
-                                for i in range(lat.n)])
-        result = ls.ideal_completion(poset)
-        assert len(result.ideals) == 4
-        # oracle: every non-empty, downward-closed, join-closed subset is principal
-        expected = set()
-        for bits in range(1, 1 << poset.n):
-            subset = frozenset(i for i in range(poset.n) if bits >> i & 1)
-            down = all(poset.leq(a, b) <= (a in subset)
-                       for b in subset for a in range(poset.n))
-            joins = all(poset.lub(a, b) in subset for a in subset for b in subset)
-            if down and joins:
-                expected.add(subset)
-        assert set(result.ideals) == expected
+@pytest.mark.parametrize("make", [m for _, m in SMALL_CORPUS],
+                         ids=[label for label, _ in SMALL_CORPUS])
+def test_ideals_are_the_principal_down_sets(make):
+    """Ideal completion is the identity at finite scale: the non-empty,
+    downward-closed, join-closed subsets are exactly the principal down-sets."""
+    lat = make()
+    n = lat.n
+    ideals = set()
+    for bits in range(1, 1 << n):
+        subset = frozenset(i for i in range(n) if bits >> i & 1)
+        down = all(lat.leq(a, b) <= (a in subset) for b in subset for a in range(n))
+        joins = all(lat.lub(a, b) in subset for a in subset for b in subset)
+        if down and joins:
+            ideals.add(subset)
+    principal = {frozenset(a for a in range(n) if lat.leq(a, b)) for b in range(n)}
+    assert ideals == principal
+    assert len(principal) == n
 
-    def test_missing_join_rejected(self):
-        antichain = self._poset(["a", "b"], {0: {0}, 1: {1}})
-        with pytest.raises(ls.LatticeError):
-            ls.ideal_completion(antichain)
 
-    def test_poset_ideal_invariants(self):
-        chain = self._poset(["0", "a", "1"], {0: {0, 1, 2}, 1: {1, 2}, 2: {2}})
-        ls.PosetIdeal(chain, frozenset({0, 1}))
-        with pytest.raises(ls.LatticeError):
-            ls.PosetIdeal(chain, frozenset())
-        with pytest.raises(ls.LatticeError):
-            ls.PosetIdeal(chain, frozenset({1}))  # not downward closed
+def _least(candidates, below):
+    """Brute force: the smallest-index candidate ``below`` all the others."""
+    return next((x for x in sorted(candidates)
+                 if all(below(x, y) for y in candidates)), None)
+
+
+@pytest.mark.parametrize("make", [m for _, m in SMALL_CORPUS]
+                         + [lambda: ls.parse_lattice(ORDER_CYCLE_TEXT)],
+                         ids=[label for label, _ in SMALL_CORPUS] + ["order_cycle"])
+def test_tables_and_covers_match_brute_force(make):
+    lat = make()
+    n, leq = lat.n, lat.leq
+    for a in range(n):
+        for b in range(n):
+            uppers = [x for x in range(n) if leq(a, x) and leq(b, x)]
+            lowers = [x for x in range(n) if leq(x, a) and leq(x, b)]
+            assert lat.lub(a, b) == _least(uppers, leq)
+            assert lat.glb(a, b) == _least(lowers, lambda x, y: leq(y, x))
+    covers = [(a, b) for a in range(n) for b in range(n)
+              if a != b and leq(a, b)
+              and not any(c not in (a, b) and leq(a, c) and leq(c, b)
+                          for c in range(n))]
+    assert lat.covers() == covers
+
+
+def test_order_cycle_reports_antisymmetry():
+    report = ls.verify_axioms(ls.parse_lattice(ORDER_CYCLE_TEXT))
+    check = report.check("order_antisymmetric")
+    assert not check.passed
+    assert check.witness == ("a", "b")
+    assert report.failures()[0] is check
+    assert report.check("L1_complete").witness == ("a", "b")

@@ -48,6 +48,13 @@ class TestLatticeParsing:
         assert ls.read_lattice(text) == lat
 
 
+    def test_json_duplicate_name_reported(self):
+        text = ('{"elements": ["a", "a"], "leq": [], "mul": [["a", "a", "a"]], '
+                '"top": "a", "bottom": "a"}')
+        with pytest.raises(ls.SourceError) as err:
+            ls.read_lattice(text, path="dup.json")
+        assert str(err.value) == "dup.json: duplicate element name 'a'"
+
 class TestSpaceParsing:
     def test_star_abbreviation(self):
         space = ls.parse_space("points: a b\nopens: {} {a} *\n")
