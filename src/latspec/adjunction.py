@@ -14,7 +14,7 @@ import itertools
 from .errors import DatumError, MorphismError, SpaceError
 from .report import Check, Report
 from .topology import (ContinuousMap, hochster_dual, is_homeomorphism,
-                       open_lattice, set_name, spectrum_positions,
+                       open_lattice, spectrum_positions,
                        support_points, verify_spectral, zariski_spectrum)
 
 
@@ -113,10 +113,8 @@ def spec_of_morphism(phi):
                                 (tgt.names[p],))
         mapping.append(src_position[q])
     f = ContinuousMap(tgt_spectrum, src_spectrum, mapping)
-    _, tgt_position = spectrum_positions(tgt)
     for a in range(src.n):
-        if support_points(tgt, phi(a), tgt_position) != f.preimage(
-                support_points(src, a, src_position)):
+        if support_points(tgt, phi(a)) != f.preimage(support_points(src, a)):
             raise MorphismError("D(phi(a)) differs from the preimage of D(a)",
                                 (src.names[a],))
     return f
@@ -130,17 +128,10 @@ class _Datum:
     def __init__(self, lattice, space, assignment):
         self.lattice = lattice
         self.space = space
-        self.assignment = tuple(frozenset(u) for u in assignment)
+        self.assignment = tuple(assignment)
         if len(self.assignment) != lattice.n:
             raise ValueError("assignment must cover every lattice element")
-        for value in self.assignment:
-            for x in value:
-                if not isinstance(x, int) or not 0 <= x < space.n:
-                    raise ValueError("assigned sets must consist of point indices")
         self._validate()
-
-    def value_name(self, a):
-        return set_name(self.space.names, self.assignment[a])
 
     def _validate(self):
         raise NotImplementedError
@@ -177,7 +168,7 @@ class SpectrumDatum(_Datum):
         for a in range(lat.n):
             if self.assignment[a] not in space.opens:
                 raise DatumError("assigned set is not open", (lat.names[a],))
-        if self.assignment[lat.bottom] != frozenset():
+        if self.assignment[lat.bottom] != 0:
             raise DatumError("the empty join must map to the empty union",
                              (lat.names[lat.bottom],))
         # Binary joins plus the empty one give every join of a finite lattice.
@@ -204,7 +195,7 @@ class SupportDatum(_Datum):
         for a in range(lat.n):
             if self.assignment[a] not in closeds:
                 raise DatumError("assigned set is not closed", (lat.names[a],))
-        if self.assignment[lat.bottom] != frozenset():
+        if self.assignment[lat.bottom] != 0:
             raise DatumError("the empty join must map to the empty union",
                              (lat.names[lat.bottom],))
         self._check_pairs("sigma")
@@ -212,18 +203,14 @@ class SupportDatum(_Datum):
 
 def tautological_spectrum_datum(lat):
     """(Spec L, D): the universal spectrum datum."""
-    spectrum = zariski_spectrum(lat)
-    _, position = spectrum_positions(lat)
-    return SpectrumDatum(lat, spectrum,
-                         [support_points(lat, a, position) for a in range(lat.n)])
+    return SpectrumDatum(lat, zariski_spectrum(lat),
+                         [support_points(lat, a) for a in range(lat.n)])
 
 
 def tautological_support_datum(lat):
     """(Spec* L, supp): the universal support datum."""
-    dual = hochster_dual(zariski_spectrum(lat))
-    _, position = spectrum_positions(lat)
-    return SupportDatum(lat, dual,
-                        [support_points(lat, a, position) for a in range(lat.n)])
+    return SupportDatum(lat, hochster_dual(zariski_spectrum(lat)),
+                        [support_points(lat, a) for a in range(lat.n)])
 
 
 def _universal_map(datum, target):
@@ -231,13 +218,14 @@ def _universal_map(datum, target):
     _, position = spectrum_positions(lat)
     mapping = []
     for x in range(datum.space.n):
-        image = lat.join(c for c in range(lat.n) if x not in datum.assignment[c])
+        image = lat.join(c for c in range(lat.n)
+                         if not datum.assignment[c] >> x & 1)
         if image not in position:
             raise DatumError("image point is not prime", (datum.space.names[x],))
         mapping.append(position[image])
     f = ContinuousMap(datum.space, target, mapping)
     for a in range(lat.n):
-        if datum.assignment[a] != f.preimage(support_points(lat, a, position)):
+        if datum.assignment[a] != f.preimage(support_points(lat, a)):
             raise DatumError("preimage identity fails", (lat.names[a],))
     return f
 
@@ -273,8 +261,7 @@ def adjunct_morphism(f, lat):
     ol = open_lattice(f.source)
     opens = f.source.sorted_opens()
     element_of = {u: i for i, u in enumerate(opens)}
-    _, position = spectrum_positions(lat)
-    mapping = [element_of[f.preimage(support_points(lat, a, position))]
+    mapping = [element_of[f.preimage(support_points(lat, a))]
                for a in range(lat.n)]
     phi = LatticeMorphism(lat, ol, mapping)
     _require_valid_morphism(phi)
@@ -333,20 +320,24 @@ def preimage_uniqueness(datum, cap=1_000_000):
 
     The count of candidates is |Spec|^|points|; above ``cap`` the search is
     skipped with an explicit note, since the universal map is already known.
+
+    A map solves the preimage identity exactly when it sends each point x to
+    a prime j with {a : j in D(a)} = {a : x in assignment[a]}, so candidates
+    are compared as tuples of these element masks, one per point.
     """
     lat = datum.lattice
-    primes, position = spectrum_positions(lat)
-    points = [support_points(lat, a, position) for a in range(lat.n)]
+    primes, _ = spectrum_positions(lat)
+    points = [support_points(lat, a) for a in range(lat.n)]
     k, m = len(primes), datum.space.n
     total = k ** m
     if total > cap:
         return Check("uniqueness", True, None,
                      f"skipped: {total} candidate maps exceed the cap {cap}")
-    solutions = 0
-    for mapping in itertools.product(range(k), repeat=m):
-        if all(datum.assignment[a] ==
-               frozenset(x for x in range(m) if mapping[x] in points[a])
-               for a in range(lat.n)):
-            solutions += 1
+    owners = [sum(1 << a for a in range(lat.n) if points[a] >> j & 1)
+              for j in range(k)]
+    wanted = tuple(sum(1 << a for a in range(lat.n) if datum.assignment[a] >> x & 1)
+                   for x in range(m))
+    solutions = sum(1 for images in itertools.product(owners, repeat=m)
+                    if images == wanted)
     return Check("uniqueness", solutions == 1, None,
                  f"checked {total} candidate maps, found {solutions} solution(s)")

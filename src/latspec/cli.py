@@ -22,9 +22,9 @@ from .errors import DatumError, LatSpecError, SpaceError
 from .instances import divisor_lattice, semiring_ideal_lattice
 from .lattice import is_semiprime, radical, verify_axioms
 from .topology import (hochster_dual, open_lattice, open_set_classification,
-                       closed_set_classification, support_classification,
-                       spectrum_positions, support_points, verify_spectral,
-                       zariski_spectrum)
+                       closed_set_classification, point_names,
+                       support_classification, support_points,
+                       verify_spectral, zariski_spectrum)
 
 DEFAULT_ENUM_CAP = 1_000_000
 
@@ -47,7 +47,7 @@ class _Parser(argparse.ArgumentParser):
 def _read_text(path):
     try:
         if path is None or path == "-":
-            return sys.stdin.read(), "<stdin>"
+            return sys.stdin.buffer.read().decode("utf-8"), "<stdin>"
         with open(path, encoding="utf-8") as handle:
             return handle.read(), path
     except (OSError, UnicodeDecodeError) as exc:
@@ -140,11 +140,9 @@ def _cmd_supp(args):
     _no_dot(args)
     a = _element(lat, args.element)
     spectrum = zariski_spectrum(lat)
-    _, position = spectrum_positions(lat)
-    points = support_points(lat, a, position)
     payload = {
         "element": lat.names[a],
-        "support": [spectrum.names[i] for i in sorted(points)],
+        "support": point_names(spectrum.names, support_points(lat, a)),
     }
     return True, emitters.canonical_json(payload)
 
@@ -241,7 +239,11 @@ def _cmd_gen(args):
             raise _InputFailure("gen divisor expects an integer") from None
         if n < 1:
             raise _InputFailure("gen divisor expects a positive integer")
-        return True, sources.lattice_source(divisor_lattice(n))
+        try:
+            lat = divisor_lattice(n)
+        except LatSpecError as exc:
+            raise _InputFailure(str(exc)) from None
+        return True, sources.lattice_source(lat)
     text, shown = _read_text(args.argument)
     try:
         ring = sources.parse_semiring(text, shown)

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DecompositionError
-from .lattice import is_semiprime, radical
-from .topology import spectrum_positions, support_points, zariski_spectrum
+from .lattice import _bits, _lowest, is_semiprime, radical
+from .topology import support_points, zariski_spectrum
 
 
 def indecomposable_witness(lat, a):
@@ -37,37 +37,38 @@ def is_indecomposable(lat, a):
 
 
 def finest_partition(points, family):
-    """Finest partition of ``points`` into non-empty unions from ``family``.
+    """Finest partition of the mask ``points`` into non-empty unions of
+    masks from ``family``, as masks ordered by their lowest point.
 
     ``family`` must be closed under intersection, so every point has a
     minimal cover; blocks are the connected components of the overlap graph
     of those covers.
     """
-    pts = frozenset(points)
-    fam = frozenset(frozenset(s) for s in family)
-    members = sorted(fam, key=lambda s: (len(s), sorted(s)))
+    fam = frozenset(family)
+    members = list(fam)
     for i, s in enumerate(members):
         for t in members[i:]:
             if s & t not in fam:
                 raise DecompositionError("family is not closed under intersection")
-    covers = {}
-    for x in sorted(pts):
-        containing = [s for s in members if x in s]
-        if not containing:
-            raise DecompositionError("a point is not covered by the family")
-        cover = frozenset.intersection(*containing)
-        if not cover <= pts:
-            raise DecompositionError("minimal cover of a point leaves the set")
-        covers[x] = cover
     # Components so far, each with the union of its covers; the unions stay
     # disjoint, so a new point joins exactly the components it overlaps.
     groups = []
-    for x in sorted(pts):
-        touching = [g for g in groups if g[1] & covers[x]]
-        groups = [g for g in groups if not g[1] & covers[x]]
-        groups.append((frozenset({x}).union(*(p for p, _ in touching)),
-                       covers[x].union(*(r for _, r in touching))))
-    return tuple(sorted((p for p, _ in groups), key=min))
+    for x in _bits(points):
+        cover = -1
+        for s in members:
+            if s >> x & 1:
+                cover &= s
+        if cover == -1:
+            raise DecompositionError("a point is not covered by the family")
+        if cover & ~points:
+            raise DecompositionError("minimal cover of a point leaves the set")
+        part, reach = 1 << x, cover
+        for group in groups:
+            if group[1] & cover:
+                part |= group[0]
+                reach |= group[1]
+        groups = [g for g in groups if not g[1] & cover] + [(part, reach)]
+    return tuple(sorted((p for p, _ in groups), key=_lowest))
 
 
 @dataclass(frozen=True)
@@ -93,8 +94,7 @@ def decompose_semiprime(lat, a):
     if not is_semiprime(lat, a):
         raise DecompositionError("element is not semiprime", (lat.names[a],))
     zariski_spectrum(lat)  # validates the lattice
-    _, position = spectrum_positions(lat)
-    supports = {b: support_points(lat, b, position) for b in range(lat.n)}
+    supports = [support_points(lat, b) for b in range(lat.n)]
     target_support = supports[a]
     bottom_radical = radical(lat, lat.bottom)
     if not target_support:
@@ -102,11 +102,10 @@ def decompose_semiprime(lat, a):
             raise DecompositionError("empty support off the radical of bottom",
                                      (lat.names[a],))
         return Decomposition(a, (), (), None, True, True)
-    family = frozenset(supports.values())
-    parts = finest_partition(target_support, family)
+    parts = finest_partition(target_support, supports)
     blocks = []
     for part in parts:
-        block = lat.join(b for b in range(lat.n) if supports[b] <= part)
+        block = lat.join(b for b in range(lat.n) if supports[b] | part == part)
         if supports[block] != part or not is_semiprime(lat, block):
             raise DecompositionError("block does not classify its support",
                                      (lat.names[block],))

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import json
 
+from .lattice import _bits
+from .topology import point_names
+
 
 def canonical_json(obj):
     """Deterministic rendering: sorted keys, two-space indent, newline."""
@@ -17,7 +20,7 @@ def _quote(name):
 def space_json(space):
     return {
         "points": list(space.names),
-        "opens": [[space.names[i] for i in sorted(u)] for u in space.sorted_opens()],
+        "opens": [point_names(space.names, u) for u in space.sorted_opens()],
     }
 
 
@@ -30,7 +33,7 @@ def space_dot(space):
     for name in space.names:
         lines.append(f"  {_quote(name)};")
     for x in range(space.n):
-        for y in sorted(space.closure(x)):
+        for y in _bits(space.closure(x)):
             if y != x:
                 lines.append(f"  {_quote(space.names[x])} -> {_quote(space.names[y])};")
     lines.append("}")
@@ -63,8 +66,7 @@ def table_json(table):
     return {
         "kind": table.kind,
         "order": table.order,
-        "pairs": [[table.lattice.names[a],
-                   [table.space.names[i] for i in sorted(subset)]]
+        "pairs": [[table.lattice.names[a], point_names(table.space.names, subset)]
                   for a, subset in table.pairs],
     }
 
@@ -73,7 +75,7 @@ def decomposition_json(lat, spectrum, dec):
     return {
         "target": lat.names[dec.target],
         "blocks": [{"element": lat.names[b],
-                    "support": [spectrum.names[i] for i in sorted(s)]}
+                    "support": point_names(spectrum.names, s)}
                    for b, s in zip(dec.blocks, dec.supports)],
         "pairwise_meet": None if dec.pairwise_meet is None
         else lat.names[dec.pairwise_meet],

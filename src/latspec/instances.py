@@ -13,12 +13,13 @@ from dataclasses import dataclass
 from math import gcd
 
 from .adjunction import SupportDatum
-from .errors import ClosureError, DatumError, SemiringError
+from .errors import ClosureError, DatumError, LatticeError, SemiringError
 from .lattice import FiniteIdealLattice, verify_axioms
 from .report import Check, Report
 
 MAX_SEMIRING_SIZE = 64
 MAX_IDEALS = 4096
+MAX_DIVISOR_MODULUS = 10 ** 12
 
 
 class FiniteSemiring:
@@ -197,11 +198,27 @@ def divisor_lattice(n):
     """Ideals of the integers mod n: a divisor d stands for dZ.
 
     Containment reverses divisibility and the product of d and e is
-    gcd(de, n).
+    gcd(de, n).  Divisors come from a trial-division factorisation, so n is
+    capped at MAX_DIVISOR_MODULUS (at most 10^6 trial divisors) and the
+    divisor count at MAX_IDEALS.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    if n > MAX_DIVISOR_MODULUS:
+        raise LatticeError(f"modulus {n} exceeds the cap {MAX_DIVISOR_MODULUS}")
+    divisors, rest, p = [1], n, 2
+    while p * p <= rest:
+        layer = divisors
+        while rest % p == 0:
+            rest //= p
+            layer = [d * p for d in layer]
+            divisors = divisors + layer
+        p += 1
+    if rest > 1:
+        divisors += [d * rest for d in divisors]
+    if len(divisors) > MAX_IDEALS:
+        raise LatticeError(f"{n} has {len(divisors)} divisors; the cap is {MAX_IDEALS}")
+    divisors.sort()
     position = {d: i for i, d in enumerate(divisors)}
     k = len(divisors)
     leq = [[divisors[i] % divisors[j] == 0 for j in range(k)] for i in range(k)]
@@ -376,12 +393,12 @@ def thick_tensor_lattice(ring, system):
 def support_datum_from_objects(thick, space, tau):
     """Translate an object-level support assignment into one on thick ideals.
 
-    tau assigns a closed subset to every ring element; it must agree with the
-    union over the generated thick ideal, turn sums into unions, the unit
-    into the whole space, and products into intersections.
+    tau assigns a closed subset, as a point mask, to every ring element; it
+    must agree with the union over the generated thick ideal, turn sums into
+    unions, the unit into the whole space, and products into intersections.
     """
     ring = thick.ring
-    values = tuple(frozenset(t) for t in tau)
+    values = tuple(tau)
     if len(values) != ring.n:
         raise ValueError("tau must cover every ring element")
     closeds = space.closed_sets()
@@ -389,8 +406,9 @@ def support_datum_from_objects(thick, space, tau):
         if values[x] not in closeds:
             raise DatumError("assigned set is not closed", (ring.names[x],))
     for x in range(ring.n):
-        members = thick.thick_ideal(thick.generators[x])
-        union = frozenset().union(*(values[y] for y in members))
+        union = 0
+        for y in thick.thick_ideal(thick.generators[x]):
+            union |= values[y]
         if values[x] != union:
             raise DatumError("value differs from the union over the generated ideal",
                              (ring.names[x],))

@@ -14,7 +14,7 @@ import os
 from .errors import LatticeError, SourceError
 from .instances import ClosureSystem, FiniteSemiring
 from .lattice import FiniteIdealLattice, verify_axioms
-from .topology import FiniteSpace
+from .topology import FiniteSpace, set_name
 
 _RESERVED = set("<*=#")
 
@@ -61,18 +61,16 @@ def _index_of(names, name, path, lineno):
 
 
 def _transitive_reflexive_closure(n, pairs):
-    leq = [[i == j for j in range(n)] for i in range(n)]
+    """The leq matrix of the least preorder holding the pairs: Warshall's
+    closure on int rows, where a row reaching k takes all of row k."""
+    up = [1 << i for i in range(n)]
     for a, b in pairs:
-        leq[a][b] = True
+        up[a] |= 1 << b
     for k in range(n):
         for i in range(n):
-            if leq[i][k]:
-                row_k = leq[k]
-                row_i = leq[i]
-                for j in range(n):
-                    if row_k[j]:
-                        row_i[j] = True
-    return leq
+            if up[i] >> k & 1:
+                up[i] |= up[k]
+    return [[bool(row >> j & 1) for j in range(n)] for row in up]
 
 
 def parse_lattice(text, path=None):
@@ -154,16 +152,17 @@ def lattice_source(lat):
 
 
 def _parse_point_set(token, names, path, lineno):
+    """A point set token as a mask over ``names``."""
     if token == "*":
-        return frozenset(range(len(names)))
+        return (1 << len(names)) - 1
     if not (token.startswith("{") and token.endswith("}")):
         raise SourceError(f"expected a point set like {{a,b}} or *, got {token!r}",
                           path, lineno)
     body = token[1:-1]
     if not body:
-        return frozenset()
-    return frozenset(_index_of(names, part, path, lineno)
-                     for part in body.split(","))
+        return 0
+    return sum(1 << i for i in {_index_of(names, part, path, lineno)
+                                for part in body.split(",")})
 
 
 def parse_space(text, path=None):
@@ -187,8 +186,7 @@ def space_source(space):
     """Canonical text for a space."""
     lines = ["# space description"]
     lines.append("points: " + " ".join(space.names))
-    sets = " ".join("{" + ",".join(space.names[i] for i in sorted(u)) + "}"
-                    for u in space.sorted_opens())
+    sets = " ".join(set_name(space.names, u) for u in space.sorted_opens())
     lines.append("opens: " + sets)
     return "\n".join(lines) + "\n"
 
@@ -328,28 +326,28 @@ def lattice_from_json(obj, path=None):
 def space_from_json(obj, path=None):
     try:
         names = list(obj["points"])
-        opens = [frozenset(names.index(p) for p in u) for u in obj["opens"]]
+        opens = [sum(1 << i for i in {names.index(p) for p in u})
+                 for u in obj["opens"]]
         return FiniteSpace(names, opens)
     except (KeyError, ValueError, TypeError) as exc:
         raise SourceError(f"bad JSON space description: {exc}", path) from None
 
 
+def _json(text, path):
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:  # deep nesting
+        raise SourceError(f"bad JSON: {exc}", path) from None
+
+
 def read_lattice(text, path=None):
     """Accept either the sectioned text format or the emitted JSON form."""
     if text.lstrip().startswith("{"):
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SourceError(f"bad JSON: {exc}", path) from None
-        return lattice_from_json(obj, path)
+        return lattice_from_json(_json(text, path), path)
     return parse_lattice(text, path)
 
 
 def read_space(text, path=None):
     if text.lstrip().startswith("{"):
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SourceError(f"bad JSON: {exc}", path) from None
-        return space_from_json(obj, path)
+        return space_from_json(_json(text, path), path)
     return parse_space(text, path)

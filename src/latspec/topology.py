@@ -1,8 +1,9 @@
 """Finite topological spaces, lattice spectra, and Hochster duality.
 
-A ``FiniteSpace`` stores its complete open family explicitly.  On finite
-spaces quasi-compactness is free, so the dual topology is simply the family
-of closed sets, and dualising twice gives back the original space.
+A ``FiniteSpace`` stores its complete open family explicitly, and every set
+of points is an int bitmask (bit i = point i).  On finite spaces
+quasi-compactness is free, so the dual topology is simply the family of
+closed sets, and dualising twice gives back the original space.
 """
 
 from __future__ import annotations
@@ -10,17 +11,27 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import LatticeError, SpaceError
-from .lattice import (FiniteIdealLattice, prime_elements, primes_above,
-                      primes_not_above, semiprime_elements, verify_axioms)
+from .lattice import (FiniteIdealLattice, _bits, prime_elements,
+                      semiprime_elements, verify_axioms)
 from .report import Check, Report
 
 
+def point_names(names, subset):
+    """Names of the points of a mask, in point order."""
+    return [names[i] for i in _bits(subset)]
+
+
 def set_name(names, subset):
-    return "{" + ",".join(names[i] for i in sorted(subset)) + "}"
+    return "{" + ",".join(point_names(names, subset)) + "}"
+
+
+def _mask_key(mask):
+    """Order by size, then by the sorted member list."""
+    return (mask.bit_count(), tuple(_bits(mask)))
 
 
 def _family_violation(family):
-    members = sorted(family, key=lambda u: (len(u), sorted(u)))
+    members = sorted(family, key=_mask_key)
     for u in members:
         for v in members:
             if u | v not in family:
@@ -31,20 +42,20 @@ def _family_violation(family):
 
 
 class FiniteSpace:
-    """Explicit finite topology; family laws are enforced at construction."""
+    """Explicit finite topology on point masks; family laws are enforced at
+    construction."""
 
     def __init__(self, names, opens):
         self.names = tuple(str(x) for x in names)
         if len(set(self.names)) != len(self.names):
             raise ValueError("point names must be unique")
         n = len(self.names)
-        family = frozenset(frozenset(u) for u in opens)
+        family = frozenset(opens)
         for u in family:
-            for x in u:
-                if not isinstance(x, int) or not 0 <= x < n:
-                    raise ValueError("opens must consist of point indices")
-        full = frozenset(range(n))
-        if frozenset() not in family:
+            if not isinstance(u, int) or u < 0 or u >> n:
+                raise ValueError("opens must be bitmasks of point indices")
+        full = (1 << n) - 1
+        if 0 not in family:
             raise SpaceError("the empty set must be open")
         if full not in family:
             raise SpaceError("the full point set must be open")
@@ -54,46 +65,29 @@ class FiniteSpace:
             raise SpaceError(f"opens are not closed under {kind}",
                              (set_name(self.names, u), set_name(self.names, v)))
         self.opens = family
-        self._index = {name: i for i, name in enumerate(self.names)}
-        self._full = full
-        self._closure = tuple(self._smallest_closed(x) for x in range(n))
-
-    def _smallest_closed(self, x):
-        avoid = frozenset().union(*(u for u in self.opens if x not in u)) \
-            if any(x not in u for u in self.opens) else frozenset()
-        return self._full - avoid
-
-    @property
-    def n(self):
-        return len(self.names)
-
-    @property
-    def full(self):
-        return self._full
-
-    def index(self, name):
-        return self._index[name]
-
-    def name(self, i):
-        return self.names[i]
+        self.n = n
+        self.full = full
+        # cl(x) is the complement of the union of the opens missing x
+        avoid = [0] * n
+        for u in family:
+            for x in _bits(full ^ u):
+                avoid[x] |= u
+        self._closure = tuple(full ^ a for a in avoid)
 
     def closure(self, x):
         return self._closure[x]
 
     def sorted_opens(self):
-        return sorted(self.opens, key=lambda u: (len(u), sorted(u)))
+        return sorted(self.opens, key=_mask_key)
 
     def closed_sets(self):
-        return frozenset(self._full - u for u in self.opens)
+        return frozenset(self.full ^ u for u in self.opens)
 
     def sorted_closed_sets(self):
-        return sorted(self.closed_sets(), key=lambda c: (len(c), sorted(c)))
-
-    def is_open(self, subset):
-        return frozenset(subset) in self.opens
+        return sorted(self.closed_sets(), key=_mask_key)
 
     def is_closed(self, subset):
-        return frozenset(subset) in self.closed_sets()
+        return self.full ^ subset in self.opens
 
     def _key(self):
         return (self.names, self.opens)
@@ -125,7 +119,7 @@ class ContinuousMap:
                                  (set_name(target.names, u),))
 
     def preimage(self, subset):
-        return frozenset(x for x in range(self.source.n) if self.mapping[x] in subset)
+        return sum(1 << x for x, v in enumerate(self.mapping) if subset >> v & 1)
 
     def _key(self):
         return (self.source, self.target, self.mapping)
@@ -143,17 +137,22 @@ class ContinuousMap:
 
 
 def verify_spectral(space):
-    """T0 plus sobriety; the compactness conditions are free on finite spaces."""
-    checks = []
-    t0 = None
-    for x in range(space.n):
-        if t0 is not None:
-            break
-        for y in range(x + 1, space.n):
-            if all((x in u) == (y in u) for u in space.opens):
-                t0 = (space.names[x], space.names[y])
-                break
-    checks.append(Check("t0", t0 is None, t0))
+    """T0 plus sobriety; the compactness conditions are free on finite spaces.
+
+    Lemma: on a finite space a non-empty closed set C is irreducible iff
+    C = cl(x) for some x.  C is the finite union of the closures of its
+    points, so an irreducible C is one of them; and a cover of cl(x) by two
+    closed sets puts x, hence cl(x), inside one of them.  So both checks
+    read the point closures only: T0 fails at the first pair x < y with
+    cl(x) = cl(y), sobriety at the first such shared closure in sorted order.
+    """
+    generics = {}
+    for x, c in enumerate(space._closure):
+        generics.setdefault(c, []).append(x)
+    shared = [xs for xs in generics.values() if len(xs) > 1]
+    first = min(shared, default=None)
+    t0 = None if first is None else (space.names[first[0]], space.names[first[1]])
+    checks = [Check("t0", t0 is None, t0)]
     checks.append(Check("quasi_compact", True, None,
                         "automatic: the space is finite"))
     checks.append(Check("quasi_compact_open_basis", True, None,
@@ -161,14 +160,10 @@ def verify_spectral(space):
                         "and the family is intersection closed by construction"))
     sober = None
     note = ""
-    for c in space.sorted_closed_sets():
-        if not c or irreducibility_witness(space, c) is not None:
-            continue
-        generics = [x for x in sorted(c) if space.closure(x) == c]
-        if len(generics) != 1:
-            sober = (set_name(space.names, c),)
-            note = (f"irreducible closed set with {len(generics)} generic points")
-            break
+    if shared:
+        xs = min(shared, key=lambda xs: _mask_key(space.closure(xs[0])))
+        sober = (set_name(space.names, space.closure(xs[0])),)
+        note = f"irreducible closed set with {len(xs)} generic points"
     checks.append(Check("sober", sober is None, sober, note))
     return Report(tuple(checks))
 
@@ -184,42 +179,40 @@ def _require_spectral(space):
         raise SpaceError(f"space is not spectral: {bad.name}", bad.witness)
 
 
-def irreducibility_witness(space, closed_set):
-    """Two proper closed subsets covering the set, or None if irreducible.
+def _require_closed(space, subset):
+    if not space.is_closed(subset):
+        raise SpaceError("set is not closed", (set_name(space.names, subset),))
 
-    The empty set counts as reducible.
-    """
-    closeds = space.sorted_closed_sets()
-    for a in closeds:
-        if a < closed_set:
-            for b in closeds:
-                if b < closed_set and a | b == closed_set:
-                    return (a, b)
-    return None
+
+def irreducibility_witness(space, closed_set):
+    """The first two proper closed subsets, in sorted-closed order, whose
+    union is the set, or None if there are none (the empty set included)."""
+    proper = [a for a in space.sorted_closed_sets()
+              if a | closed_set == closed_set and a != closed_set]
+    return next(((a, b) for a in proper for b in proper if a | b == closed_set),
+                None)
 
 
 def is_irreducible(space, closed_set):
-    closed_set = frozenset(closed_set)
-    return bool(closed_set) and irreducibility_witness(space, closed_set) is None
+    """Whether a closed set is a point closure; raises on a set not closed."""
+    _require_closed(space, closed_set)
+    return closed_set in space._closure
 
 
 def generic_point(space, closed_set):
     """The unique point whose closure is the given irreducible closed set.
 
-    Returns None when no point, or more than one point, generates the set
-    (the latter only happens on non-T0 spaces).
+    Returns None when more than one point generates the set (only on
+    non-T0 spaces).
     """
-    closed_set = frozenset(closed_set)
-    if not space.is_closed(closed_set):
-        raise SpaceError("set is not closed", (set_name(space.names, closed_set),))
+    _require_closed(space, closed_set)
     if not closed_set:
         raise SpaceError("the empty set is not irreducible")
-    witness = irreducibility_witness(space, closed_set)
-    if witness is not None:
-        a, b = witness
+    generics = [x for x in _bits(closed_set) if space.closure(x) == closed_set]
+    if not generics:
+        a, b = irreducibility_witness(space, closed_set)
         raise SpaceError("set is not irreducible",
                          (set_name(space.names, a), set_name(space.names, b)))
-    generics = [x for x in sorted(closed_set) if space.closure(x) == closed_set]
     return generics[0] if len(generics) == 1 else None
 
 
@@ -229,22 +222,29 @@ def spectrum_positions(lat):
     return primes, {p: i for i, p in enumerate(primes)}
 
 
-def support_points(lat, a, position=None):
-    """supp(a) = D(a) as a set of spectrum point indices."""
-    if position is None:
-        _, position = spectrum_positions(lat)
-    return frozenset(position[p] for p in primes_not_above(lat, a))
+def support_points(lat, a):
+    """supp(a) = D(a), the primes not above a, as a mask of spectrum points:
+    bit i stands for the i-th prime in element order."""
+    return sum(1 << i for i, p in enumerate(prime_elements(lat))
+               if not lat.leq(a, p))
 
 
 def zariski_spectrum(lat):
-    """The space of primes with opens {D(a)}; raises on an invalid lattice."""
+    """The space of primes with opens {D(a)}; raises on an invalid lattice.
+
+    Built once per lattice and kept in its derived cache.
+    """
+    spectrum = lat._derived.get("spectrum")
+    if spectrum is not None:
+        return spectrum
     report = verify_axioms(lat)
     if not report.ok:
         bad = report.failures()[0]
         raise LatticeError(f"invalid lattice: {bad.name} fails", bad.witness)
-    primes, position = spectrum_positions(lat)
-    opens = {support_points(lat, a, position) for a in range(lat.n)}
-    return FiniteSpace([lat.names[p] for p in primes], opens)
+    opens = {support_points(lat, a) for a in range(lat.n)}
+    spectrum = FiniteSpace([lat.names[p] for p in prime_elements(lat)], opens)
+    lat._derived["spectrum"] = spectrum
+    return spectrum
 
 
 def hochster_dual(space):
@@ -259,11 +259,9 @@ def open_lattice(space):
     opens = space.sorted_opens()
     position = {u: i for i, u in enumerate(opens)}
     names = [set_name(space.names, u) for u in opens]
-    n = len(opens)
-    leq = [[opens[i] <= opens[j] for j in range(n)] for i in range(n)]
-    mul = [[position[opens[i] & opens[j]] for j in range(n)] for i in range(n)]
-    return FiniteIdealLattice(names, leq, mul,
-                              position[space.full], position[frozenset()])
+    leq = [[u & v == u for v in opens] for u in opens]
+    mul = [[position[u & v] for v in opens] for u in opens]
+    return FiniteIdealLattice(names, leq, mul, position[space.full], position[0])
 
 
 def is_homeomorphism(f):
@@ -283,7 +281,7 @@ def canonical_homeomorphism(space):
     _, position = spectrum_positions(ol)
     mapping = []
     for x in range(space.n):
-        element = element_of[space.full - space.closure(x)]
+        element = element_of[space.full ^ space.closure(x)]
         if element not in position:
             raise SpaceError("complement of a point closure is not prime",
                              (space.names[x],))
@@ -296,7 +294,8 @@ def canonical_homeomorphism(space):
 
 @dataclass(frozen=True)
 class ClassificationTable:
-    """Bijective pairing of the semiprime elements with subsets of a space."""
+    """Bijective pairing of the semiprime elements with subsets of a space,
+    each subset a point mask."""
 
     lattice: FiniteIdealLattice
     space: FiniteSpace
@@ -309,26 +308,13 @@ class ClassificationTable:
         if len(set(values)) != len(values):
             raise LatticeError("classification is not injective")
 
-    def subset_for(self, element):
-        for a, subset in self.pairs:
-            if a == element:
-                return subset
-        raise KeyError(element)
-
-    def element_for(self, subset):
-        subset = frozenset(subset)
-        for a, value in self.pairs:
-            if value == subset:
-                return a
-        raise KeyError(subset)
-
 
 def _check_monotone(lat, pairs, order, label):
     for a, va in pairs:
         for b, vb in pairs:
             if lat.leq(a, b):
-                good = vb <= va if order == "reversing" else va <= vb
-                if not good:
+                small, large = (vb, va) if order == "reversing" else (va, vb)
+                if small | large != large:
                     raise LatticeError(f"{label} is not order {order}",
                                        (lat.names[a], lat.names[b]))
 
@@ -336,18 +322,19 @@ def _check_monotone(lat, pairs, order, label):
 def closed_set_classification(lat):
     """Semiprimes <-> closed subsets of the spectrum via a -> V(a), Y -> inf Y."""
     spectrum = zariski_spectrum(lat)
-    primes, position = spectrum_positions(lat)
-    pairs = tuple((a, frozenset(position[p] for p in primes_above(lat, a)))
+    primes = prime_elements(lat)
+    full = spectrum.full
+    pairs = tuple((a, full ^ support_points(lat, a))
                   for a in semiprime_elements(lat))
     closeds = spectrum.closed_sets()
     if {v for _, v in pairs} != closeds:
         raise LatticeError("V does not hit every closed set exactly")
     for a, v in pairs:
-        if lat.meet(primes[i] for i in sorted(v)) != a:
+        if lat.meet(primes[i] for i in _bits(v)) != a:
             raise LatticeError("inf V(a) differs from a", (lat.names[a],))
     for y in closeds:
-        a = lat.meet(primes[i] for i in sorted(y))
-        if frozenset(position[p] for p in primes_above(lat, a)) != y:
+        a = lat.meet(primes[i] for i in _bits(y))
+        if full ^ support_points(lat, a) != y:
             raise LatticeError("V(inf Y) differs from Y",
                                (set_name(spectrum.names, y),))
     _check_monotone(lat, pairs, "reversing", "closed-set classification")
@@ -355,18 +342,16 @@ def closed_set_classification(lat):
 
 
 def _complement_classification(lat, space, family, kind):
-    primes, position = spectrum_positions(lat)
-    pairs = tuple((a, support_points(lat, a, position))
-                  for a in semiprime_elements(lat))
+    supports = [support_points(lat, b) for b in range(lat.n)]
+    pairs = tuple((a, supports[a]) for a in semiprime_elements(lat))
     if {v for _, v in pairs} != family:
         raise LatticeError(f"{kind} classification misses part of the family")
-    supports = {b: support_points(lat, b, position) for b in range(lat.n)}
     for a, value in pairs:
-        if lat.join(b for b in range(lat.n) if supports[b] <= value) != a:
+        if lat.join(b for b in range(lat.n) if supports[b] | value == value) != a:
             raise LatticeError(f"{kind} classification round trip differs from a",
                                (lat.names[a],))
     for y in family:
-        a = lat.join(b for b in range(lat.n) if supports[b] <= y)
+        a = lat.join(b for b in range(lat.n) if supports[b] | y == y)
         if supports[a] != y:
             raise LatticeError(f"{kind} classification round trip differs from Y",
                                (set_name(space.names, y),))

@@ -93,13 +93,11 @@ def all_posets(n):
 
 
 def up_sets(leq):
+    """The up-sets of a preorder, as point masks."""
     n = len(leq)
-    family = []
-    for bits in range(1 << n):
-        subset = frozenset(i for i in range(n) if bits >> i & 1)
-        if all(j in subset for i in subset for j in range(n) if leq[i][j]):
-            family.append(subset)
-    return family
+    return [bits for bits in range(1 << n)
+            if all(bits >> j & 1 for i in range(n) if bits >> i & 1
+                   for j in range(n) if leq[i][j])]
 
 
 @lru_cache(maxsize=None)
@@ -152,13 +150,9 @@ def small_lattices():
 def deleted_point_datum(lat):
     """Restrict (Spec* L, supp) to the subspace missing the last prime."""
     dual = ls.hochster_dual(ls.zariski_spectrum(lat))
-    keep = list(range(dual.n - 1))
-    names = [dual.names[i] for i in keep]
-    opens = {frozenset(x for x in u if x in keep) for u in dual.opens}
-    subspace = ls.FiniteSpace(names, opens)
-    _, pos = ls.spectrum_positions(lat)
-    sigma = [frozenset(x for x in ls.support_points(lat, a, pos) if x in keep)
-             for a in range(lat.n)]
+    keep = (1 << dual.n - 1) - 1
+    subspace = ls.FiniteSpace(dual.names[:-1], {u & keep for u in dual.opens})
+    sigma = [ls.support_points(lat, a) & keep for a in range(lat.n)]
     return ls.SupportDatum(lat, subspace, sigma)
 
 
@@ -223,14 +217,26 @@ def all_partitions(items):
         yield partition + [{first}]
 
 
+def point_set(mask):
+    """The point indices of a mask, as a frozenset."""
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def point_mask(points):
+    return sum(1 << i for i in set(points))
+
+
 def is_family_union(subset, family):
     return all(any(x in s and s <= subset for s in family) for x in subset)
 
 
 def finest_partition_oracle(points, family):
-    """Intersection over all valid partitions, per the defining description."""
-    points = frozenset(points)
-    family = [frozenset(s) for s in family]
+    """Intersection over all valid partitions, per the defining description.
+
+    Takes and returns point masks; works on point sets inside.
+    """
+    points = point_set(points)
+    family = [point_set(s) for s in family]
     valid = [partition for partition in all_partitions(sorted(points))
              if all(block and is_family_union(frozenset(block), family)
                     for block in partition)]
@@ -242,5 +248,38 @@ def finest_partition_oracle(points, family):
             for block in partition:
                 if x in block:
                     meet = meet & frozenset(block)
-        blocks.add(frozenset(meet))
+        blocks.add(point_mask(meet))
     return blocks
+
+
+def random_preorder(rng, n, density):
+    """A random reflexive, transitive leq matrix on n points."""
+    leq = [[i == j or rng.random() < density for j in range(n)] for i in range(n)]
+    for k in range(n):
+        for i in range(n):
+            if leq[i][k]:
+                leq[i] = [a or b for a, b in zip(leq[i], leq[k])]
+    return leq
+
+
+def spectral_oracle(space):
+    """(t0 witness, sober witness, sober note) from the definitions: points
+    with equal open neighbourhoods, and the first non-empty closed set, in
+    sorted order, that no two proper closed subsets cover and whose generic
+    points are not exactly one."""
+    opens = [point_set(u) for u in space.opens]
+    t0 = next(((space.names[x], space.names[y]) for x in range(space.n)
+               for y in range(x + 1, space.n)
+               if all((x in u) == (y in u) for u in opens)), None)
+    full = frozenset(range(space.n))
+    closeds = sorted({full - u for u in opens}, key=lambda c: (len(c), sorted(c)))
+    for c in closeds:
+        proper = [a for a in closeds if a < c]
+        if not c or any(a | b == c for a in proper for b in proper):
+            continue
+        generics = [x for x in sorted(c)
+                    if frozenset.intersection(*(d for d in closeds if x in d)) == c]
+        if len(generics) != 1:
+            name = "{" + ",".join(space.names[i] for i in sorted(c)) + "}"
+            return t0, (name,), f"irreducible closed set with {len(generics)} generic points"
+    return t0, None, ""

@@ -33,8 +33,7 @@ def test_c02_spectrality():
     for label, lat in corpus():
         spectrum = ls.zariski_spectrum(lat)
         assert ls.verify_spectral(spectrum).ok, label
-        _, pos = ls.spectrum_positions(lat)
-        d_sets = {ls.support_points(lat, a, pos) for a in range(lat.n)}
+        d_sets = {ls.support_points(lat, a) for a in range(lat.n)}
         assert spectrum.opens == d_sets, label
     assert _elapsed(t0) < 10
     print("criterion 2 (every corpus spectrum is spectral): PASS")
@@ -103,8 +102,7 @@ def test_c06_universal_property():
     for lat in small_lattices():
         spectrum = ls.zariski_spectrum(lat)
         dual = ls.hochster_dual(spectrum)
-        _, pos = ls.spectrum_positions(lat)
-        d_sets = [ls.support_points(lat, a, pos) for a in range(lat.n)]
+        d_sets = [ls.support_points(lat, a) for a in range(lat.n)]
         for space in spaces:
             for cls, target, build in (
                     (ls.SpectrumDatum, spectrum, ls.universal_spectrum_map),
@@ -241,11 +239,10 @@ def test_c09_radical_algebra_and_avoidance():
 def test_c10_decomposition():
     t0 = time.monotonic()
     for label, lat in corpus():
-        _, pos = ls.spectrum_positions(lat)
-        supports = {b: ls.support_points(lat, b, pos) for b in range(lat.n)}
+        supports = {b: ls.support_points(lat, b) for b in range(lat.n)}
         family = frozenset(supports.values())
         for a in ls.semiprime_elements(lat):
-            if len(supports[a]) > 6:
+            if supports[a].bit_count() > 6:
                 continue
             dec = ls.decompose_semiprime(lat, a)
             if not supports[a]:

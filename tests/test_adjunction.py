@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 import latspec as ls
-from helpers import (chain3_lattice, corpus, deleted_point_datum,
+from helpers import (chain3_lattice, corpus, deleted_point_datum, point_set,
                      powerset_lattice, t0_spaces)
 
 ATOMS = "xyz"
@@ -14,7 +14,7 @@ def identity_morphism(lat):
 
 
 def sierpinski():
-    return ls.FiniteSpace(["0", "1"], [frozenset(), frozenset({1}), frozenset({0, 1})])
+    return ls.FiniteSpace(["0", "1"], [0, 0b10, 0b11])
 
 
 class TestVerifyMorphism:
@@ -41,7 +41,7 @@ class TestVerifyMorphism:
     def test_preimage_of_continuous_map_is_morphism(self):
         # the open-set lattice functor on maps
         source = sierpinski()
-        target = ls.FiniteSpace(["p"], [frozenset(), frozenset({0})])
+        target = ls.FiniteSpace(["p"], [0, 0b1])
         f = ls.ContinuousMap(source, target, [0, 0])
         src_lat = ls.open_lattice(target)
         tgt_lat = ls.open_lattice(source)
@@ -77,11 +77,9 @@ class TestSpecOfMorphism:
         phi = quotient_morphism_12_to_4()
         f = ls.spec_of_morphism(phi)
         src, tgt = phi.source, phi.target
-        _, src_pos = ls.spectrum_positions(src)
-        _, tgt_pos = ls.spectrum_positions(tgt)
         for a in range(src.n):
-            d_img = ls.support_points(tgt, phi(a), tgt_pos)
-            assert d_img == f.preimage(ls.support_points(src, a, src_pos))
+            d_img = ls.support_points(tgt, phi(a))
+            assert d_img == f.preimage(ls.support_points(src, a))
 
     def test_rejects_invalid_morphism(self):
         chain = chain3_lattice()
@@ -117,7 +115,7 @@ class TestSpectrumDatum:
         lat = chain3_lattice()
         space = sierpinski()
         # the evident isomorphism of opens: 0 -> {}, a -> {1}, 1 -> X
-        delta = [frozenset(), frozenset({1}), frozenset({0, 1})]
+        delta = [0, 0b10, 0b11]
         datum = ls.SpectrumDatum(lat, space, delta)
         f = ls.universal_spectrum_map(datum)
         assert [f.target.names[v] for v in f.mapping] == ["a", "0"]
@@ -127,21 +125,20 @@ class TestSpectrumDatum:
         lat = chain3_lattice()
         space = sierpinski()
         with pytest.raises(ls.DatumError):
-            ls.SpectrumDatum(lat, space, [frozenset({0, 1})] * 3)
+            ls.SpectrumDatum(lat, space, [0b11] * 3)
 
     def test_non_open_value_rejected(self):
         lat = chain3_lattice()
         space = sierpinski()
         with pytest.raises(ls.DatumError):
             ls.SpectrumDatum(lat, space,
-                             [frozenset(), frozenset({0}), frozenset({0, 1})])
+                             [0, 0b1, 0b11])
 
     def test_join_violation_rejected_with_witness(self):
         lat = powerset_lattice(2)
         space = ls.zariski_spectrum(lat)
-        _, pos = ls.spectrum_positions(lat)
-        delta = [ls.support_points(lat, a, pos) for a in range(lat.n)]
-        delta[lat.top] = frozenset()  # break delta(top) = X
+        delta = [ls.support_points(lat, a) for a in range(lat.n)]
+        delta[lat.top] = 0  # break delta(top) = X
         with pytest.raises(ls.DatumError):
             ls.SpectrumDatum(lat, space, delta)
 
@@ -155,12 +152,11 @@ class TestSupportDatum:
 
     def test_powerset_membership_datum(self):
         lat = powerset_lattice(3)
-        space = ls.FiniteSpace(list(ATOMS),
-                               [frozenset(s) for s in _all_subsets(3)])
+        space = ls.FiniteSpace(list(ATOMS), range(8))
         # sigma(a) = the points of a itself: a is not inside co-atom(s) iff s in a
         sigma = []
         for name in lat.names:
-            atoms = frozenset(ATOMS.index(c) for c in name[1:-1].split(",") if c)
+            atoms = sum(1 << ATOMS.index(c) for c in name[1:-1].split(",") if c)
             sigma.append(atoms)
         datum = ls.SupportDatum(lat, space, sigma)
         f = ls.universal_support_map(datum)
@@ -172,16 +168,11 @@ class TestSupportDatum:
     def test_union_violation_rejected(self):
         lat = powerset_lattice(2)
         dual = ls.hochster_dual(ls.zariski_spectrum(lat))
-        _, pos = ls.spectrum_positions(lat)
-        sigma = [ls.support_points(lat, a, pos) for a in range(lat.n)]
-        sigma[lat.index("{x}")] = frozenset()
+        sigma = [ls.support_points(lat, a) for a in range(lat.n)]
+        sigma[lat.index("{x}")] = 0
         with pytest.raises(ls.DatumError) as err:
             ls.SupportDatum(lat, dual, sigma)
         assert "union" in str(err.value)
-
-
-def _all_subsets(n):
-    return [{i for i in range(n) if bits >> i & 1} for bits in range(1 << n)]
 
 
 class TestAdjunction:
@@ -191,9 +182,8 @@ class TestAdjunction:
         f = ls.ContinuousMap(spectrum, spectrum, range(spectrum.n))
         phi = ls.adjunct_morphism(f, lat)
         opens = spectrum.sorted_opens()
-        _, pos = ls.spectrum_positions(lat)
         for a in range(lat.n):
-            assert opens[phi(a)] == ls.support_points(lat, a, pos)
+            assert opens[phi(a)] == ls.support_points(lat, a)
 
     def test_sigma_of_identity_induced_morphism_is_canonical(self):
         space = sierpinski()
@@ -225,20 +215,21 @@ class TestAdjunction:
 def _bijection_criterion(datum):
     """a -> union of the sets assigned below a, and Y -> join of the elements
     assigned inside Y, are mutually inverse bijections between the semiprimes
-    and the closed subsets of the space."""
+    and the closed subsets of the space.  Works on point sets."""
     lat = datum.lattice
+    sigma = [point_set(v) for v in datum.assignment]
     sems = ls.semiprime_elements(lat)
-    extended = {a: frozenset().union(*(datum.assignment[b] for b in range(lat.n)
+    extended = {a: frozenset().union(*(sigma[b] for b in range(lat.n)
                                        if lat.leq(b, a)))
                 for a in sems}
-    closeds = datum.space.closed_sets()
+    closeds = {point_set(c) for c in datum.space.closed_sets()}
     if len(set(extended.values())) != len(sems) or set(extended.values()) != closeds:
         return False
     for a in sems:
-        if lat.join(b for b in range(lat.n) if datum.assignment[b] <= extended[a]) != a:
+        if lat.join(b for b in range(lat.n) if sigma[b] <= extended[a]) != a:
             return False
     for y in closeds:
-        a = lat.join(b for b in range(lat.n) if datum.assignment[b] <= y)
+        a = lat.join(b for b in range(lat.n) if sigma[b] <= y)
         if a not in extended or extended[a] != y:
             return False
     return True
@@ -272,8 +263,8 @@ class TestClassifying:
 
     def test_rejects_non_spectral_space(self):
         lat = chain3_lattice()
-        indiscrete = ls.FiniteSpace(["p", "q"], [frozenset(), frozenset({0, 1})])
-        sigma = [frozenset(), frozenset({0, 1}), frozenset({0, 1})]
+        indiscrete = ls.FiniteSpace(["p", "q"], [0, 0b11])
+        sigma = [0, 0b11, 0b11]
         datum = ls.SupportDatum(lat, indiscrete, sigma)
         with pytest.raises(ls.SpaceError):
             ls.is_classifying(datum)
@@ -299,10 +290,12 @@ class TestSupportMorphismCheck:
         lat = ls.divisor_lattice(12)
         datum = ls.tautological_support_datum(lat)
         space = datum.space
+        def swap(u):
+            return (u & 1) << 1 | u >> 1
+
         flipped = ls.FiniteSpace([space.names[1], space.names[0]],
-                                 [frozenset(1 - x for x in u)
-                                  for u in space.opens])
-        sigma = [frozenset(1 - x for x in u) for u in datum.assignment]
+                                 [swap(u) for u in space.opens])
+        sigma = [swap(u) for u in datum.assignment]
         other = ls.SupportDatum(lat, flipped, sigma)
         assert ls.is_classifying(other)
         f = ls.ContinuousMap(space, flipped, [1, 0])

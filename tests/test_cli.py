@@ -13,14 +13,14 @@ from golden_cases import CASES, TESTS_DIR, run_cli, run_pipeline
 PACKAGE_ROOT = Path(latspec.__file__).resolve().parent.parent
 
 
-def latspec_process(*args, env=None):
+def latspec_process(*args, env=None, stdin=b""):
     """Run ``python -m latspec`` as a child process in tests/, with the package
     under test first on its PYTHONPATH."""
     merged = dict(os.environ)
     merged.update(env or {})
     merged["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(PACKAGE_ROOT), os.environ.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-m", "latspec", *args],
+    return subprocess.run([sys.executable, "-m", "latspec", *args], input=stdin,
                           capture_output=True, env=merged, cwd=TESTS_DIR)
 
 
@@ -117,6 +117,39 @@ class TestExitCodes:
         assert code == 2
         assert out == b""
         assert "utf-8" in self._one_json_error(err)
+
+    def test_non_utf8_stdin_exits_two_under_c_locale(self):
+        # A real process: under a C locale sys.stdin decodes with
+        # surrogateescape, so stdin must be decoded as strict UTF-8 by hand.
+        text = b"elements: \xff\ntop: \xff\nbottom: \xff\nmul: \xff*\xff=\xff\n"
+        proc = latspec_process("verify", "-", stdin=text,
+                               env={"LC_ALL": "C", "PYTHONUTF8": "0"})
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert "utf-8" in self._one_json_error(proc.stderr)
+
+    @pytest.mark.parametrize("modulus,code", [
+        ("1000000000000", 0),       # 10^12: 169 divisors
+        ("1000000000001000", 2),    # above the 10^12 cap
+        ("963761198400", 2),        # 6720 divisors, above MAX_IDEALS
+    ])
+    def test_gen_divisor_caps(self, modulus, code):
+        got, out, err = run_cli(["gen", "divisor", modulus])
+        assert got == code
+        if code == 0:
+            assert out.startswith(b"# lattice description\nelements: 1 2 4 5 8 ")
+            assert err == b""
+        else:
+            assert out == b""
+            assert modulus in self._one_json_error(err)
+
+    @pytest.mark.parametrize("command", ["verify", "dual"])
+    def test_deeply_nested_json_exits_two(self, command):
+        text = b'{"elements": ' + b"[" * 100_000
+        code, out, err = run_cli([command, "-"], stdin=text)
+        assert code == 2
+        assert out == b""
+        assert "bad JSON" in self._one_json_error(err)
 
     def test_usage_error_exits_two_with_one_json_line(self):
         code, out, err = run_cli(["gen", "divizor", "12"])

@@ -5,7 +5,7 @@ import pytest
 
 import latspec as ls
 from helpers import (chain3_lattice, finest_partition_oracle, is_family_union,
-                     powerset_lattice, t0_spaces)
+                     point_mask, point_set, powerset_lattice, t0_spaces)
 
 
 class TestIndecomposable:
@@ -34,40 +34,38 @@ def closed_family(space):
 
 class TestFinestPartition:
     def test_discrete_three_points(self):
-        family = [frozenset(s) for s in
-                  ({i for i in range(3) if b >> i & 1} for b in range(8))]
-        parts = ls.finest_partition(frozenset({0, 1, 2}), family)
-        assert set(parts) == {frozenset({0}), frozenset({1}), frozenset({2})}
+        family = range(8)
+        parts = ls.finest_partition(0b111, family)
+        assert set(parts) == {0b1, 0b10, 0b100}
 
     def test_sierpinski_overlapping_closures(self):
-        family = [frozenset(), frozenset({0}), frozenset({0, 1})]
-        parts = ls.finest_partition(frozenset({0, 1}), family)
-        assert set(parts) == {frozenset({0, 1})}
+        family = [0, 0b1, 0b11]
+        parts = ls.finest_partition(0b11, family)
+        assert set(parts) == {0b11}
 
     def test_z12_support_of_top(self):
         lat = ls.divisor_lattice(12)
-        _, pos = ls.spectrum_positions(lat)
-        family = {ls.support_points(lat, b, pos) for b in range(lat.n)}
-        parts = ls.finest_partition(ls.support_points(lat, lat.top, pos), family)
-        assert set(parts) == {frozenset({0}), frozenset({1})}
+        family = {ls.support_points(lat, b) for b in range(lat.n)}
+        parts = ls.finest_partition(ls.support_points(lat, lat.top), family)
+        assert set(parts) == {0b1, 0b10}
 
     def test_uncoverable_point_rejected(self):
         with pytest.raises(ls.DecompositionError):
-            ls.finest_partition(frozenset({0, 1}), [frozenset(), frozenset({0})])
+            ls.finest_partition(0b11, [0, 0b1])
 
     def test_non_intersection_closed_rejected(self):
-        family = [frozenset({0, 1}), frozenset({1, 2})]
+        family = [0b11, 0b110]
         with pytest.raises(ls.DecompositionError):
-            ls.finest_partition(frozenset({0, 1, 2}), family)
+            ls.finest_partition(0b111, family)
 
     def test_matches_oracle_on_random_families(self):
         rng = random.Random(20240517)
         for _ in range(60):
             n = rng.randint(1, 5)
             universe = list(range(n))
-            family = {frozenset()}
+            family = {0}
             for _ in range(rng.randint(1, 6)):
-                family.add(frozenset(rng.sample(universe, rng.randint(1, n))))
+                family.add(point_mask(rng.sample(universe, rng.randint(1, n))))
             # close under intersection
             changed = True
             while changed:
@@ -77,7 +75,9 @@ class TestFinestPartition:
                         if a & b not in family:
                             family.add(a & b)
                             changed = True
-            points = frozenset().union(*family)
+            points = 0
+            for s in family:
+                points |= s
             if not points:
                 continue
             parts = ls.finest_partition(points, family)
@@ -90,7 +90,8 @@ class TestFinestPartition:
             if not points:
                 continue
             parts = ls.finest_partition(points, family)
-            for block in parts:
+            family = [point_set(c) for c in family]
+            for block in map(point_set, parts):
                 for r in range(1, len(block)):
                     for half in itertools.combinations(sorted(block), r):
                         left = frozenset(half)
@@ -114,8 +115,8 @@ class TestDecomposeSemiprime:
         assert sorted(lat.names[b] for b in dec.blocks) == ["2", "3"]
         supports = {lat.names[b]: s for b, s in zip(dec.blocks, dec.supports)}
         spectrum = ls.zariski_spectrum(lat)
-        assert {spectrum.names[i] for i in supports["2"]} == {"3"}
-        assert {spectrum.names[i] for i in supports["3"]} == {"2"}
+        assert {spectrum.names[i] for i in point_set(supports["2"])} == {"3"}
+        assert {spectrum.names[i] for i in point_set(supports["3"])} == {"2"}
         assert not dec.meets_equal_bottom
         assert lat.names[dec.pairwise_meet] == "6"
 
@@ -146,11 +147,10 @@ class TestDecomposeSemiprime:
     ])
     def test_blocks_match_partition_oracle(self, make):
         lat = make()
-        _, pos = ls.spectrum_positions(lat)
-        family = {ls.support_points(lat, b, pos) for b in range(lat.n)}
+        family = {ls.support_points(lat, b) for b in range(lat.n)}
         for a in ls.semiprime_elements(lat):
-            supp = ls.support_points(lat, a, pos)
-            if not supp or len(supp) > 6:
+            supp = ls.support_points(lat, a)
+            if not supp or supp.bit_count() > 6:
                 continue
             dec = ls.decompose_semiprime(lat, a)
             assert set(dec.supports) == finest_partition_oracle(supp, family)
@@ -170,7 +170,6 @@ class TestDecomposeSemiprime:
 
     def test_blocks_have_no_semiprime_split_with_disjoint_supports(self):
         lat = ls.divisor_lattice(12)
-        _, pos = ls.spectrum_positions(lat)
         dec = ls.decompose_semiprime(lat, lat.top)
         sems = ls.semiprime_elements(lat)
         for block in dec.blocks:
@@ -178,8 +177,8 @@ class TestDecomposeSemiprime:
                 for t in sems:
                     if lat.lub(s, t) != block:
                         continue
-                    ss = ls.support_points(lat, s, pos)
-                    st = ls.support_points(lat, t, pos)
+                    ss = ls.support_points(lat, s)
+                    st = ls.support_points(lat, t)
                     if ss and st and not ss & st:
                         pytest.fail("block splits into semiprimes with "
                                     "disjoint supports")
